@@ -1,7 +1,8 @@
 // benchdiff compares two BENCH_<date>.json snapshots (see make
 // bench-json) and prints per-run and per-engine deltas: solved counts,
-// wall-clock, solved/sec, solver work profile (queries, push attempts
-// and triggered skips, solver rebuilds), and worker scaling
+// wall-clock, solved/sec, every work counter the snapshots carry (the
+// ic3icp.Counters table: queries, push attempts and triggered skips,
+// solver rebuilds, retention, memo and TNF savings), and worker scaling
 // (speedup_x).  It exits 1 when the new snapshot regresses — fewer
 // instances solved, any wrong verdict appearing, a per-engine
 // solved/sec drop beyond the tolerance, a per-engine query-count
@@ -12,8 +13,9 @@
 // Query counts are machine-independent, so the queries gate catches
 // algorithmic regressions (e.g. triggered pushing silently re-attempting
 // everything) that wall-clock jitter on a busy CI box would mask.
-// Snapshots predating the work-profile counters carry zero queries and
-// are tracked but not gated.
+// Snapshots predating the work-profile counters carry no queries and
+// are tracked but not gated; snapshots written before the counters
+// object are read through harness.BenchEngine's legacy-key mapping.
 //
 // Usage:
 //
@@ -25,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 
 	"icpic3/internal/harness"
 )
@@ -54,10 +57,31 @@ func engineMap(r harness.BenchRun) map[string]harness.BenchEngine {
 	return m
 }
 
+// gatedCounter is the one work counter benchdiff gates on.  The other
+// counters are savings or churn whose regressions surface through this
+// gate and the solved/sec gate, so they are tracked, not gated.
+const gatedCounter = "queries"
+
+// counterKeys returns the sorted union of two counter maps' keys.
+func counterKeys(a, b map[string]int64) []string {
+	var keys []string
+	for k := range a {
+		keys = append(keys, k)
+	}
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // diffRun prints the leg-level comparison and reports regressions.
-// qtol bounds the allowed per-engine query-count growth; engines whose
-// old snapshot predates the work-profile counters (queries == 0) are
-// tracked but not gated.
+// Every work counter nonzero in either snapshot prints as one delta
+// line.  qtol bounds the allowed per-engine growth of gatedCounter;
+// engines whose old snapshot predates the counters (zero or absent)
+// are tracked but not gated.
 func diffRun(label string, old, new harness.BenchRun, tol, qtol float64) (regressed bool) {
 	fmt.Printf("%s: solved %d -> %d (%+d), unknown %d -> %d, wrong %d -> %d, wall %.2fs -> %.2fs (%+.1f%%)\n",
 		label, old.Solved, new.Solved, new.Solved-old.Solved,
@@ -106,29 +130,19 @@ func diffRun(label string, old, new harness.BenchRun, tol, qtol float64) (regres
 				regressed = true
 			}
 		}
-		if oe.Queries > 0 || ne.Queries > 0 {
-			fmt.Printf("  %-12s queries %d -> %d (%+.1f%%), push %d/%d skipped -> %d/%d skipped, rebuilds %d -> %d\n",
-				ne.Engine, oe.Queries, ne.Queries, pct(float64(ne.Queries), float64(oe.Queries)),
-				oe.PushAttempts, oe.PushSkipped, ne.PushAttempts, ne.PushSkipped,
-				oe.SolverRebuilds, ne.SolverRebuilds)
+		for _, k := range counterKeys(oe.Counters, ne.Counters) {
+			o, n := oe.Counters[k], ne.Counters[k]
+			switch {
+			case o != 0:
+				fmt.Printf("  %-12s %-20s %d -> %d (%+.1f%%)\n",
+					ne.Engine, k, o, n, pct(float64(n), float64(o)))
+			case n != 0:
+				fmt.Printf("  %-12s %-20s %d -> %d\n", ne.Engine, k, o, n)
+			}
 		}
-		if oe.Queries > 0 && float64(ne.Queries) > float64(oe.Queries)*(1+qtol) {
+		if o := oe.Counters[gatedCounter]; o > 0 && float64(ne.Counters[gatedCounter]) > float64(o)*(1+qtol) {
 			fmt.Printf("  REGRESSION: %s query count grew more than %.0f%%\n", ne.Engine, qtol*100)
 			regressed = true
-		}
-		// Assumption-aware query-core counters: savings metrics (higher is
-		// better — their regressions surface through the queries and
-		// solved/sec gates), so they are tracked, not gated.  Snapshots
-		// predating them carry zeros and are skipped on that side.
-		if oe.TrailEventsSaved > 0 || ne.TrailEventsSaved > 0 ||
-			oe.ConsecCacheHits > 0 || ne.ConsecCacheHits > 0 ||
-			oe.TNFOpsPruned > 0 || ne.TNFOpsPruned > 0 {
-			fmt.Printf("  %-12s retained %d levels/%d events -> %d/%d, memo %d/%d hit -> %d/%d, tnf pruned %d -> %d\n",
-				ne.Engine,
-				oe.PrefixKeptLevels, oe.TrailEventsSaved, ne.PrefixKeptLevels, ne.TrailEventsSaved,
-				oe.ConsecCacheHits, oe.ConsecCacheHits+oe.ConsecCacheMiss,
-				ne.ConsecCacheHits, ne.ConsecCacheHits+ne.ConsecCacheMiss,
-				oe.TNFOpsPruned, ne.TNFOpsPruned)
 		}
 	}
 	return regressed

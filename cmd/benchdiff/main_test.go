@@ -1,8 +1,10 @@
 package main
 
-import "icpic3/internal/harness"
+import (
+	"testing"
 
-import "testing"
+	"icpic3/internal/harness"
+)
 
 func run(solved, wrong int, engines ...harness.BenchEngine) harness.BenchRun {
 	return harness.BenchRun{Solved: solved, Wrong: wrong, WallSec: 1, Engines: engines}
@@ -89,8 +91,10 @@ func TestDiffRunSkipsThroughputGateOnTinySamples(t *testing.T) {
 func engQ(name string, solved int, queries, attempts, skipped, rebuilds int64) harness.BenchEngine {
 	return harness.BenchEngine{
 		Engine: name, SolvedSafe: solved, SolvedPerSec: 1.0,
-		Queries: queries, PushAttempts: attempts, PushSkipped: skipped,
-		SolverRebuilds: rebuilds,
+		Counters: map[string]int64{
+			"queries": queries, "pushAttempts": attempts,
+			"pushSkippedTriggered": skipped, "solverRebuilds": rebuilds,
+		},
 	}
 }
 
@@ -132,5 +136,44 @@ func TestDiffRunFlagsThroughputDrop(t *testing.T) {
 	cur = run(10, 0, eng("ic3-icp", 5, 0.95, 0))
 	if diffRun("baseline", old, cur, 0.10, 0.10) {
 		t.Fatal("within-tolerance jitter flagged")
+	}
+}
+
+// engineOf returns the named engine of a loaded snapshot's baseline leg.
+func engineOf(t *testing.T, path, name string) harness.BenchEngine {
+	t.Helper()
+	rep, err := load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range rep.Baseline.Engines {
+		if e.Engine == name {
+			return e
+		}
+	}
+	t.Fatalf("%s: no %s engine", path, name)
+	return harness.BenchEngine{}
+}
+
+func TestLoadLegacySnapshotCounters(t *testing.T) {
+	// written before the counters object: the flat snake_case keys fold
+	// into Counters under their Result.Stats keys
+	e := engineOf(t, "../../BENCH_2026-08-08-retained.json", "ic3-icp")
+	if e.Counters["queries"] != 16833 || e.Counters["consecCacheHits"] != 6036 {
+		t.Fatalf("counters = %v, want queries 16833 and consecCacheHits 6036", e.Counters)
+	}
+}
+
+func TestLoadCounterlessSnapshot(t *testing.T) {
+	// the seed-era snapshot has no counter keys at all: an empty map,
+	// tracked against a new snapshot but never gated
+	old := engineOf(t, "../../BENCH_2026-08-06.json", "ic3-icp")
+	if len(old.Counters) != 0 {
+		t.Fatalf("counters = %v, want none", old.Counters)
+	}
+	cur := engQ("ic3-icp", old.SolvedSafe, 50000, 4000, 0, 0)
+	cur.SolvedUnsaf, cur.SolvedPerSec = old.SolvedUnsaf, old.SolvedPerSec
+	if diffRun("baseline", run(10, 0, old), run(10, 0, cur), 0.10, 0.10) {
+		t.Fatal("query gate fired against a counter-less snapshot")
 	}
 }

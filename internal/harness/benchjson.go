@@ -6,6 +6,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"time"
@@ -35,24 +36,53 @@ type BenchEngine struct {
 	EngineSec    float64 `json:"engine_sec"`     // summed per-run engine time
 	SolvedPerSec float64 `json:"solved_per_sec"` // solved / engine_sec
 
-	// Work-profile counters (ic3-icp reports them; others stay 0), so
-	// benchdiff can gate on consecution query count instead of only on
-	// wall-clock: total solver queries, clause-push consecution
-	// attempts, attempts skipped by the push triggers, and incremental
-	// frame-solver rebuilds.
-	Queries        int64 `json:"queries"`
-	PushAttempts   int64 `json:"push_attempts"`
-	PushSkipped    int64 `json:"push_skipped_triggered"`
-	SolverRebuilds int64 `json:"solver_rebuilds"`
+	// Counters is the engine's ic3icp.Counters work profile, keyed by
+	// Result.Stats key (empty for engines that report none), so
+	// benchdiff can gate on query count instead of only on wall-clock.
+	Counters map[string]int64 `json:"counters,omitempty"`
+}
 
-	// Assumption-aware query-core counters (PR 10); absent (zero) in
-	// snapshots written before them, which benchdiff treats as
-	// not-comparable rather than as a regression.
-	PrefixKeptLevels int64 `json:"prefix_kept_levels,omitempty"`
-	TrailEventsSaved int64 `json:"trail_events_saved,omitempty"`
-	ConsecCacheHits  int64 `json:"consec_cache_hits,omitempty"`
-	ConsecCacheMiss  int64 `json:"consec_cache_misses,omitempty"`
-	TNFOpsPruned     int64 `json:"tnf_ops_pruned,omitempty"`
+// legacyCounterKeys maps the flat per-counter JSON keys of snapshots
+// written before the counters object to their Result.Stats keys.
+var legacyCounterKeys = map[string]string{
+	"queries":                "queries",
+	"push_attempts":          "pushAttempts",
+	"push_skipped_triggered": "pushSkippedTriggered",
+	"solver_rebuilds":        "solverRebuilds",
+	"prefix_kept_levels":     "prefixKeptLevels",
+	"trail_events_saved":     "trailEventsSaved",
+	"consec_cache_hits":      "consecCacheHits",
+	"consec_cache_misses":    "consecCacheMisses",
+	"tnf_ops_pruned":         "tnfOpsPruned",
+}
+
+// UnmarshalJSON reads both snapshot layouts: the counters object, and
+// the legacy flat keys, which it folds into Counters so the committed
+// snapshots keep diffing unchanged.
+func (e *BenchEngine) UnmarshalJSON(b []byte) error {
+	type plain BenchEngine // no methods: decodes without recursing
+	if err := json.Unmarshal(b, (*plain)(e)); err != nil {
+		return err
+	}
+	var flat map[string]json.RawMessage
+	if err := json.Unmarshal(b, &flat); err != nil {
+		return err
+	}
+	for jsonKey, key := range legacyCounterKeys {
+		raw, ok := flat[jsonKey]
+		if !ok {
+			continue
+		}
+		var v int64
+		if err := json.Unmarshal(raw, &v); err != nil {
+			return fmt.Errorf("%s: %w", jsonKey, err)
+		}
+		if e.Counters == nil {
+			e.Counters = map[string]int64{}
+		}
+		e.Counters[key] = v
+	}
+	return nil
 }
 
 // BenchRun is one full-suite execution at a fixed worker count.
@@ -100,21 +130,13 @@ func benchRun(suite []benchmarks.Instance, perRun time.Duration, workers int) (B
 	for _, s := range Summarize(records, names) {
 		solved := s.SolvedSafe + s.SolvedUnsaf
 		be := BenchEngine{
-			Engine:         s.Engine,
-			SolvedSafe:     s.SolvedSafe,
-			SolvedUnsaf:    s.SolvedUnsaf,
-			Unknown:        s.Unknown,
-			Wrong:          s.Wrong,
-			EngineSec:      s.TotalTime.Seconds(),
-			Queries:          s.Queries,
-			PushAttempts:     s.PushAttempts,
-			PushSkipped:      s.PushSkipped,
-			SolverRebuilds:   s.SolverRebuilds,
-			PrefixKeptLevels: s.PrefixKeptLevels,
-			TrailEventsSaved: s.TrailEventsSaved,
-			ConsecCacheHits:  s.ConsecCacheHits,
-			ConsecCacheMiss:  s.ConsecCacheMiss,
-			TNFOpsPruned:     s.TNFOpsPruned,
+			Engine:      s.Engine,
+			SolvedSafe:  s.SolvedSafe,
+			SolvedUnsaf: s.SolvedUnsaf,
+			Unknown:     s.Unknown,
+			Wrong:       s.Wrong,
+			EngineSec:   s.TotalTime.Seconds(),
+			Counters:    s.Counters,
 		}
 		if be.EngineSec > 0 {
 			be.SolvedPerSec = float64(solved) / be.EngineSec

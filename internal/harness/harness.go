@@ -140,31 +140,17 @@ type EngineSummary struct {
 	Unknown     int
 	Wrong       int
 	TotalTime   time.Duration
-	// Work-profile counters summed from Result.Stats (zero for engines
-	// that do not report them): solver queries, consecution push
-	// attempts, push attempts skipped by triggering, and incremental
-	// solver rebuilds.  They make query-count regressions diffable
-	// across BENCH snapshots, not just wall-clock ones.
-	Queries        int64
-	PushAttempts   int64
-	PushSkipped    int64
-	SolverRebuilds int64
-	// Assumption-aware query-core counters (PR 10): trail levels kept by
-	// prefix retention with the propagation events that spared, UNSAT
-	// consecution answers served from the memo vs sent to a solver, and
-	// TNF ops removed by compile-time simplification.
-	PrefixKeptLevels int64
-	TrailEventsSaved int64
-	ConsecCacheHits  int64
-	ConsecCacheMiss  int64
-	TNFOpsPruned     int64
+	// Counters sums the ic3icp.Counters work profile over the engine's
+	// runs, keyed by Result.Stats key; engines that report none of them
+	// leave it empty.
+	Counters map[string]int64
 }
 
 // Summarize aggregates run records per engine.
 func Summarize(records []RunRecord, names []string) []EngineSummary {
 	byEngine := map[string]*EngineSummary{}
 	for _, n := range names {
-		byEngine[n] = &EngineSummary{Engine: n}
+		byEngine[n] = &EngineSummary{Engine: n, Counters: map[string]int64{}}
 	}
 	for _, r := range records {
 		s := byEngine[r.Engine]
@@ -172,16 +158,10 @@ func Summarize(records []RunRecord, names []string) []EngineSummary {
 			continue
 		}
 		s.TotalTime += r.Result.Runtime
-		if st := r.Result.Stats; st != nil {
-			s.Queries += st["queries"]
-			s.PushAttempts += st["pushAttempts"]
-			s.PushSkipped += st["pushSkippedTriggered"]
-			s.SolverRebuilds += st["solverRebuilds"]
-			s.PrefixKeptLevels += st["prefixKeptLevels"]
-			s.TrailEventsSaved += st["trailEventsSaved"]
-			s.ConsecCacheHits += st["consecCacheHits"]
-			s.ConsecCacheMiss += st["consecCacheMisses"]
-			s.TNFOpsPruned += st["tnfOpsPruned"]
+		for _, c := range ic3icp.Counters {
+			if v, ok := r.Result.Stats[c.Key]; ok {
+				s.Counters[c.Key] += v
+			}
 		}
 		switch {
 		case r.Wrong():
@@ -201,20 +181,29 @@ func Summarize(records []RunRecord, names []string) []EngineSummary {
 	return out
 }
 
-// Table2 renders the engine comparison.
+// Table2 renders the engine comparison, one column per work counter.
 func Table2(w io.Writer, records []RunRecord, names []string) {
 	fmt.Fprintln(w, "Table II: solved instances per engine")
-	fmt.Fprintf(w, "%-10s %6s %8s %8s %6s %12s %9s %9s %8s %10s %9s %9s\n",
-		"engine", "safe", "unsafe", "unknown", "wrong", "total time",
-		"queries", "pushskip", "rebuilds", "trailsaved", "memohits", "tnfpruned")
+	fmt.Fprintf(w, "%-10s %6s %8s %8s %6s %12s",
+		"engine", "safe", "unsafe", "unknown", "wrong", "total time")
+	for _, c := range ic3icp.Counters {
+		fmt.Fprintf(w, " %*s", counterWidth(c), c.Key)
+	}
+	fmt.Fprintln(w)
 	for _, s := range Summarize(records, names) {
-		fmt.Fprintf(w, "%-10s %6d %8d %8d %6d %12s %9d %9d %8d %10d %9d %9d\n",
+		fmt.Fprintf(w, "%-10s %6d %8d %8d %6d %12s",
 			s.Engine, s.SolvedSafe, s.SolvedUnsaf, s.Unknown, s.Wrong,
-			s.TotalTime.Round(time.Millisecond),
-			s.Queries, s.PushSkipped, s.SolverRebuilds,
-			s.TrailEventsSaved, s.ConsecCacheHits, s.TNFOpsPruned)
+			s.TotalTime.Round(time.Millisecond))
+		for _, c := range ic3icp.Counters {
+			fmt.Fprintf(w, " %*d", counterWidth(c), s.Counters[c.Key])
+		}
+		fmt.Fprintln(w)
 	}
 }
+
+// counterWidth is a Table II counter column's width: its key, and at
+// least room for a nine-digit count.
+func counterWidth(c ic3icp.Counter) int { return max(len(c.Key), 9) }
 
 // --- Table III: generalization ablation ---------------------------------
 

@@ -90,8 +90,8 @@ type Options struct {
 	SeedClauses []Cube
 	// Workers is the number of goroutines the forward clause-pushing
 	// phase fans its per-clause consecution queries across (<= 1 =
-	// sequential).  Every worker runs on its own solver snapshot (see
-	// icp.Pool), so verdicts and certificates do not depend on the
+	// sequential).  Queries go to fixed persistent solver shards (see
+	// parallel.go), so verdicts and certificates do not depend on the
 	// worker count.
 	Workers int
 	// DebugTrace prints blocking activity to stdout (development aid).
@@ -342,15 +342,10 @@ func CheckFull(sys *ts.System, opts Options) (engine.Result, *Info) {
 
 	ch := &checker{sys: sys, opts: opts, budget: budget, stats: map[string]int64{},
 		coreHits: map[coreKey]int64{}, memo: newConsecMemo()}
-	// work-profile counters asserted by the determinism suites and
-	// surfaced through /metrics and benchtab: present even when zero
-	ch.stats["pushAttempts"] = 0
-	ch.stats["pushSkippedTriggered"] = 0
-	ch.stats["solverRebuilds"] = 0
-	ch.stats["ctgBlocked"] = 0
-	ch.stats["consecCacheHits"] = 0
-	ch.stats["consecCacheMisses"] = 0
-	ch.stats["tnfOpsPruned"] = 0
+	// the reported work profile is present even when zero
+	for _, c := range Counters {
+		ch.stats[c.Key] = 0
+	}
 	if err := ch.build(); err != nil {
 		return engine.Result{Verdict: engine.Unknown, Note: err.Error()}, info
 	}

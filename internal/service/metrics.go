@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"icpic3/internal/engine"
+	"icpic3/internal/ic3icp"
 )
 
 // latencyBuckets are the upper bounds of the job-latency histogram.
@@ -78,16 +79,7 @@ type Metrics struct {
 	tenants  map[string]*tenantCounters // guarded-by: mu; per-tenant admission accounting
 	breakers *breaker                   // per-engine open-ness gauges (may be nil; set before publication)
 
-	pushAttempts   int64 // guarded-by: mu; IC3 clause-push consecution queries attempted
-	pushSkipped    int64 // guarded-by: mu; push attempts skipped as dormant (triggered pushing)
-	solverRebuilds int64 // guarded-by: mu; frame-solver slack rebuilds (activation-var GC)
-	ctgBlocked     int64 // guarded-by: mu; counterexamples-to-generalization blocked
-
-	prefixKept   int64 // guarded-by: mu; assumption-prefix levels retained across Solve calls
-	trailSaved   int64 // guarded-by: mu; trail events not redone thanks to prefix retention
-	consecHits   int64 // guarded-by: mu; consecution queries served from the UNSAT memo
-	consecMisses int64 // guarded-by: mu; consecution queries that went to a solver
-	tnfPruned    int64 // guarded-by: mu; TNF ops removed by compile-time simplification
+	engineCounters map[string]int64 // guarded-by: mu; ic3icp.Counters summed over finished runs
 
 	reuseLookups   int64   // guarded-by: mu; certificate-store lookups (reuse-capable jobs)
 	reuseHits      int64   // guarded-by: mu; lookups that produced usable seed hints
@@ -114,6 +106,8 @@ func newMetrics() *Metrics {
 		completed: make(map[string]int64),
 		latency:   make(map[string]*histogram),
 		tenants:   make(map[string]*tenantCounters),
+
+		engineCounters: make(map[string]int64),
 	}
 }
 
@@ -231,57 +225,28 @@ func (m *Metrics) recordReuse(seeded bool, res engine.Result) {
 	m.mu.Unlock()
 }
 
-// recordWorkProfile accumulates a finished engine run's internal work
-// counters (triggered-pushing effectiveness and solver lifecycle churn)
-// so operators can see, fleet-wide, how much consecution work the
-// trigger bookkeeping is saving and how often frame solvers rebuild.
+// recordWorkProfile accumulates a finished engine run's work counters
+// (the ic3icp.Counters table) so operators can see, fleet-wide, how
+// much consecution work triggering and the memo save and how often
+// frame solvers rebuild.
 func (m *Metrics) recordWorkProfile(res engine.Result) {
 	if res.Stats == nil {
 		return
 	}
 	m.mu.Lock()
-	m.pushAttempts += res.Stats["pushAttempts"]
-	m.pushSkipped += res.Stats["pushSkippedTriggered"]
-	m.solverRebuilds += res.Stats["solverRebuilds"]
-	m.ctgBlocked += res.Stats["ctgBlocked"]
-	m.prefixKept += res.Stats["prefixKeptLevels"]
-	m.trailSaved += res.Stats["trailEventsSaved"]
-	m.consecHits += res.Stats["consecCacheHits"]
-	m.consecMisses += res.Stats["consecCacheMisses"]
-	m.tnfPruned += res.Stats["tnfOpsPruned"]
+	for _, c := range ic3icp.Counters {
+		m.engineCounters[c.Key] += res.Stats[c.Key]
+	}
 	m.mu.Unlock()
 }
 
-// Work-profile counter accessors (for tests and logs).
-func (m *Metrics) PushAttempts() int64 { m.mu.Lock(); defer m.mu.Unlock(); return m.pushAttempts }
-func (m *Metrics) PushSkipped() int64  { m.mu.Lock(); defer m.mu.Unlock(); return m.pushSkipped }
-func (m *Metrics) SolverRebuilds() int64 {
+// EngineCounter returns one summed work counter by its Result.Stats key
+// (for tests and logs).
+func (m *Metrics) EngineCounter(name string) int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.solverRebuilds
+	return m.engineCounters[name]
 }
-func (m *Metrics) CTGBlocked() int64 { m.mu.Lock(); defer m.mu.Unlock(); return m.ctgBlocked }
-func (m *Metrics) PrefixKeptLevels() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.prefixKept
-}
-func (m *Metrics) TrailEventsSaved() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.trailSaved
-}
-func (m *Metrics) ConsecCacheHits() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.consecHits
-}
-func (m *Metrics) ConsecCacheMisses() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.consecMisses
-}
-func (m *Metrics) TNFOpsPruned() int64 { m.mu.Lock(); defer m.mu.Unlock(); return m.tnfPruned }
 
 func (m *Metrics) incPanics()     { m.mu.Lock(); m.panics++; m.mu.Unlock() }
 func (m *Metrics) incStalled()    { m.mu.Lock(); m.stalled++; m.mu.Unlock() }
@@ -411,15 +376,9 @@ func (m *Metrics) WriteText(w io.Writer) error {
 	add("icpserve_jobs_degraded_total %d", m.degraded)
 	add("icpserve_results_certified_total %d", m.certified)
 	add("icpserve_results_cert_failed_total %d", m.certFailed)
-	add("icpserve_engine_push_attempts_total %d", m.pushAttempts)
-	add("icpserve_engine_push_skipped_triggered_total %d", m.pushSkipped)
-	add("icpserve_engine_solver_rebuilds_total %d", m.solverRebuilds)
-	add("icpserve_engine_ctg_blocked_total %d", m.ctgBlocked)
-	add("icpserve_engine_prefix_kept_levels_total %d", m.prefixKept)
-	add("icpserve_engine_trail_events_saved_total %d", m.trailSaved)
-	add("icpserve_engine_consec_cache_hits_total %d", m.consecHits)
-	add("icpserve_engine_consec_cache_misses_total %d", m.consecMisses)
-	add("icpserve_engine_tnf_ops_pruned_total %d", m.tnfPruned)
+	for _, c := range ic3icp.Counters {
+		add("icpserve_engine_counter_total{name=%q} %d", c.Key, m.engineCounters[c.Key])
+	}
 	add("icpserve_reuse_lookups_total %d", m.reuseLookups)
 	add("icpserve_reuse_hits_total %d", m.reuseHits)
 	add("icpserve_reuse_clauses_seeded_total %d", m.clausesSeeded)

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"icpic3/internal/ic3icp"
 )
 
 // frozenModel (the benchmark suite's frozen-parameter family) needs
@@ -19,9 +21,10 @@ trans x' = x + y and y' = y
 prop x <= 5
 `
 
-// TestWorkProfileMetrics asserts that a finished ic3 run's internal
-// work counters (triggered-pushing effectiveness, solver lifecycle)
-// flow through to the service metrics and the /metrics exposition.
+// TestWorkProfileMetrics asserts that a finished ic3 run's work
+// counters flow through to the service metrics and that /metrics
+// carries one icpserve_engine_counter_total line per ic3icp.Counters
+// entry, holding the summed value.
 func TestWorkProfileMetrics(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1})
 
@@ -35,18 +38,15 @@ func TestWorkProfileMetrics(t *testing.T) {
 	}
 
 	m := s.Metrics()
-	if m.PushAttempts() == 0 {
-		t.Error("no push attempts recorded from a safe ic3 run")
+	if m.EngineCounter("pushAttempts") == 0 || m.EngineCounter("queries") == 0 {
+		t.Error("no push attempts or queries recorded from a safe ic3 run")
 	}
 	text := m.String()
-	for _, want := range []string{
-		fmt.Sprintf("icpserve_engine_push_attempts_total %d", m.PushAttempts()),
-		fmt.Sprintf("icpserve_engine_push_skipped_triggered_total %d", m.PushSkipped()),
-		fmt.Sprintf("icpserve_engine_solver_rebuilds_total %d", m.SolverRebuilds()),
-		fmt.Sprintf("icpserve_engine_ctg_blocked_total %d", m.CTGBlocked()),
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics missing %q:\n%s", want, text)
+	for _, c := range ic3icp.Counters {
+		prefix := fmt.Sprintf("icpserve_engine_counter_total{name=%q} ", c.Key)
+		want := fmt.Sprintf("%s%d\n", prefix, m.EngineCounter(c.Key))
+		if n := strings.Count(text, prefix); n != 1 || !strings.Contains(text, want) {
+			t.Errorf("metrics has %d %q lines, want one reading %q:\n%s", n, prefix, want, text)
 		}
 	}
 }
