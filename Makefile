@@ -98,6 +98,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=5s ./internal/ts/
 	$(GO) test -run='^$$' -fuzz=FuzzSystem -fuzztime=5s ./internal/ts/
 	$(GO) test -run='^$$' -fuzz=FuzzSolveRetentionEquiv -fuzztime=5s ./internal/icp/
+	$(GO) test -run='^$$' -fuzz=FuzzTrigInverse -fuzztime=5s ./internal/interval/
 
 check: build vet lint test test-race
 

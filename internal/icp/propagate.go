@@ -82,30 +82,42 @@ func (s *Solver) propagate() *conflict {
 
 // propagateWatch visits the clauses watching the falsifiable side of the
 // trail event at ei: a lo-raising event can only falsify (x <= c)
-// watches, a hi-lowering event only (x >= c) watches.  Clauses whose
-// watched literal survives the bound move cost one comparison; a fallen
-// watch tries to relocate to another non-false literal, and only when
-// none exists does the clause go through full unit/conflict handling.
+// watches, a hi-lowering event only (x >= c) watches.  An entry whose
+// bound the new domain has not reached is kept without loading its
+// clause (see watch); otherwise a fallen watch tries to relocate to
+// another non-false literal, and only when none exists does the clause
+// go through full unit/conflict handling.  Every entry counts as one
+// WatchVisits, skipped or not.
 func (s *Solver) propagateWatch(ei int32) *conflict {
 	e := &s.trail[ei]
-	var ws *[]int32
-	if e.side == sideLo {
-		ws = &s.watchLe[e.v]
-	} else {
-		ws = &s.watchGe[e.v]
+	v, le := e.v, e.side == sideLo
+	ws, dir := &s.watchGe[v], tnf.DirGe
+	if le {
+		ws, dir = &s.watchLe[v], tnf.DirLe
 	}
 	// The list is compacted in place while iterating: entries whose
 	// clause moved every watch off this (var, dir) list are dropped.
 	// Relocations append only to *other* lists (a same-list replacement
 	// keeps the existing entry), so the iteration bound stays valid.
+	// The bound is re-read per entry: a unit asserted by an earlier
+	// visit in this scan may already have moved it.
 	list := *ws
 	out := 0
 	for k := 0; k < len(list); k++ {
-		ci := list[k]
+		w := list[k]
 		s.Stats.WatchVisits++
-		keepEntry, cf := s.visitWatched(ci, e.v, e.side)
-		if keepEntry {
-			list[out] = ci
+		if le && s.lo[v] < w.b || !le && s.hi[v] > w.b {
+			list[out] = w
+			out++
+			continue
+		}
+		moved, cf := s.visitWatched(w.ci, v, dir)
+		keep := true
+		if moved {
+			w.b, keep = watchBound(&s.clauses[w.ci], v, dir)
+		}
+		if keep {
+			list[out] = w
 			out++
 		}
 		if cf != nil {
@@ -118,18 +130,15 @@ func (s *Solver) propagateWatch(ei int32) *conflict {
 	return nil
 }
 
-// visitWatched handles clause ci after an event on (v, side) touched its
-// watch list.  Returns whether the clause should remain on this list and
-// a conflict if the clause is fully falsified.
-func (s *Solver) visitWatched(ci int32, v tnf.VarID, side int8) (bool, *conflict) {
+// visitWatched handles clause ci after an event on (v, dir) touched its
+// watch list.  It reports whether a watch moved, after which the caller
+// re-derives the clause's entry on this list, and a conflict if the
+// clause is fully falsified.
+func (s *Solver) visitWatched(ci int32, v tnf.VarID, dir tnf.Dir) (moved bool, cf *conflict) {
 	c := &s.clauses[ci]
-	dir := tnf.DirLe
-	if side == sideHi {
-		dir = tnf.DirGe
-	}
 	if c.w1 < 0 {
 		// single-literal clause: re-check directly (conflict or re-assert)
-		return true, s.checkClause(ci)
+		return false, s.checkClause(ci)
 	}
 	for slot := 0; slot < 2; slot++ {
 		wi := c.w0
@@ -161,6 +170,7 @@ func (s *Solver) visitWatched(ci int32, v tnf.VarID, side int8) (bool, *conflict
 			}
 		}
 		if found >= 0 {
+			moved = true
 			if slot == 0 {
 				c.w0 = found
 			} else {
@@ -168,9 +178,14 @@ func (s *Solver) visitWatched(ci int32, v tnf.VarID, side int8) (bool, *conflict
 			}
 			nl := c.lits[found]
 			// append to the new list unless an entry already exists
-			// there: same list as the one being iterated (this entry
-			// stays if any watch remains here) or the other watch's list.
-			if (nl.Var != v || nl.Dir != dir) && (nl.Var != ol.Var || nl.Dir != ol.Dir) {
+			// there: same list as the one being iterated (the caller
+			// re-derives this entry) or the other watch's list, whose
+			// entry must now also cover the moved watch.
+			switch {
+			case nl.Var == v && nl.Dir == dir:
+			case nl.Var == ol.Var && nl.Dir == ol.Dir:
+				s.rebound(nl, ci)
+			default:
 				s.addWatch(nl, ci)
 			}
 			continue
@@ -180,12 +195,10 @@ func (s *Solver) visitWatched(ci int32, v tnf.VarID, side int8) (bool, *conflict
 		// false watch stays listed — its falsifying event is the current
 		// one, so any backtrack past it restores the watch invariant.
 		if cf := s.checkClause(ci); cf != nil {
-			return true, cf
+			return moved, cf
 		}
 	}
-	l0, l1 := c.lits[c.w0], c.lits[c.w1]
-	keep := (l0.Var == v && l0.Dir == dir) || (l1.Var == v && l1.Dir == dir)
-	return keep, nil
+	return moved, nil
 }
 
 // checkAllClauses runs the exhaustive per-clause check over the whole

@@ -189,10 +189,9 @@ func (e *event) lit() tnf.Lit {
 type clause struct {
 	lits    []tnf.Lit
 	learned bool
-	// w0, w1 are the indices of the two watched literals (-1 for
-	// single-literal clauses, which need no watches: they are asserted
-	// once at seeding and their bound survives every backtrack to the
-	// level it was set at).
+	// w0, w1 are the indices of the two watched literals.  A
+	// single-literal clause watches its only literal (w0 = 0, w1 = -1)
+	// so that every falsifying event re-checks it.
 	w0, w1 int32
 	// lbd is the literal block distance at learning time (distinct
 	// decision levels among the clause's literals); problem clauses
@@ -232,8 +231,11 @@ type Solver struct {
 	// Unlike the occurrence lists this replaces, a trail event visits
 	// only the clauses whose watch it might falsify, and each visit is
 	// a constant-time bound comparison unless the watch actually fell.
-	watchLe [][]int32
-	watchGe [][]int32
+	// Each entry carries the bound at which one of the clause's watches
+	// on that list can first fall (see watch), so most visits never
+	// load the clause.
+	watchLe [][]watch
+	watchGe [][]watch
 
 	trail     []event
 	trailLim  []int32 // trail length at the start of each level
@@ -544,12 +546,75 @@ func (s *Solver) attachWatches(id int32) {
 
 // addWatch appends id to the watch list scanned by events that can
 // falsify l: lo-raising events for (x <= c), hi-lowering for (x >= c).
+// The entry's bound summarizes every watch id already has on that list.
 func (s *Solver) addWatch(l tnf.Lit, id int32) {
+	b, _ := watchBound(&s.clauses[id], l.Var, l.Dir)
 	if l.Dir == tnf.DirLe {
-		s.watchLe[l.Var] = append(s.watchLe[l.Var], id)
+		s.watchLe[l.Var] = append(s.watchLe[l.Var], watch{ci: id, b: b})
 	} else {
-		s.watchGe[l.Var] = append(s.watchGe[l.Var], id)
+		s.watchGe[l.Var] = append(s.watchGe[l.Var], watch{ci: id, b: b})
 	}
+}
+
+// rebound recomputes the bound of clause id's entry on l's watch list
+// after a watch moved onto that list, which already held an entry for
+// the clause's other watch.
+func (s *Solver) rebound(l tnf.Lit, id int32) {
+	list := s.watchGe[l.Var]
+	if l.Dir == tnf.DirLe {
+		list = s.watchLe[l.Var]
+	}
+	for k := range list {
+		if list[k].ci == id {
+			list[k].b, _ = watchBound(&s.clauses[id], l.Var, l.Dir)
+			return
+		}
+	}
+}
+
+// watch is one watch-list entry: clause ci and the bound b at which one
+// of its watched literals on this list can first become false.  On a
+// watchLe[v] list b is the least B among the clause's watched
+// (v <= B) / (v < B) literals, and a literal there can be false only
+// once lo[v] >= B; on a watchGe[v] list b is the greatest B, with
+// falsity needing hi[v] <= B.  So while lo[v] < b (Le) or hi[v] > b
+// (Ge) a visit would find no fallen watch and change nothing, and the
+// entry is kept without loading the clause.  Single-literal clauses
+// carry -Inf (Le) or +Inf (Ge) and are always visited: their visit
+// re-asserts the literal, which a retained-prefix backtrack may need.
+type watch struct {
+	ci int32
+	b  float64
+}
+
+// watchBound returns the bound of c's entry on the (v, dir) list and
+// whether c has a watched literal on that list at all.
+func watchBound(c *clause, v tnf.VarID, dir tnf.Dir) (float64, bool) {
+	le := dir == tnf.DirLe
+	if c.w1 < 0 {
+		l := c.lits[c.w0]
+		if le {
+			return math.Inf(-1), l.Var == v && l.Dir == dir
+		}
+		return math.Inf(1), l.Var == v && l.Dir == dir
+	}
+	b, on := math.Inf(1), false
+	if !le {
+		b = math.Inf(-1)
+	}
+	for _, wi := range [2]int32{c.w0, c.w1} {
+		l := c.lits[wi]
+		if l.Var != v || l.Dir != dir {
+			continue
+		}
+		on = true
+		if le {
+			b = math.Min(b, l.B)
+		} else {
+			b = math.Max(b, l.B)
+		}
+	}
+	return b, on
 }
 
 // NumVars returns the number of variables.

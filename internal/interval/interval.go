@@ -424,8 +424,8 @@ func (v Interval) Sin() Interval {
 	}
 	// Determine whether the interval crosses a maximum (pi/2 + 2k*pi) or a
 	// minimum (-pi/2 + 2k*pi).
-	lo := math.Min(math.Sin(v.Lo), math.Sin(v.Hi))
-	hi := math.Max(math.Sin(v.Lo), math.Sin(v.Hi))
+	sl, sh := math.Sin(v.Lo), math.Sin(v.Hi)
+	lo, hi := math.Min(sl, sh), math.Max(sl, sh)
 	if crossesPhase(v, math.Pi/2) {
 		hi = 1
 	}
@@ -608,10 +608,7 @@ func InvSin(z, x Interval) Interval {
 	if x.Width() >= math.Pi || math.IsInf(x.Lo, 0) || math.IsInf(x.Hi, 0) {
 		return x
 	}
-	// Contract endpoints by a few bisection steps on sin over x.
-	return shrinkByBisection(x, func(p Interval) bool {
-		return !p.Sin().Intersect(zz).IsEmpty()
-	})
+	return shrinkTrig(zz, x, Interval.Sin)
 }
 
 // InvCos projects z = cos(x) onto x given x's current domain.
@@ -626,18 +623,33 @@ func InvCos(z, x Interval) Interval {
 	if x.Width() >= math.Pi || math.IsInf(x.Lo, 0) || math.IsInf(x.Hi, 0) {
 		return x
 	}
-	return shrinkByBisection(x, func(p Interval) bool {
-		return !p.Cos().Intersect(zz).IsEmpty()
-	})
+	return shrinkTrig(zz, x, Interval.Cos)
 }
 
-// shrinkByBisection trims the left and right ends of x, keeping any
-// sub-interval on which feasible() holds.  feasible must be a sound
-// over-approximate test (true whenever a solution may exist).
-func shrinkByBisection(x Interval, feasible func(Interval) bool) Interval {
-	if !feasible(x) {
+// shrinkTrig contracts x to the part whose image under f can meet zz:
+// the left and right ends of x are trimmed by 16 bisection steps each,
+// keeping any sub-interval p on which f(p) ∩ zz is nonempty.
+//
+// Two outcomes are decided by the forward enclosure f(x) alone.  If it
+// misses zz, no sub-interval is feasible and the result is empty.  If
+// it lies inside zz, bisection would keep every sub-interval and return
+// x unchanged: each probe [lo, m] (left) or [m, hi] (right) shares an
+// endpoint with x, f's enclosure of it contains f at that endpoint
+// (Sin/Cos take the min and max of both endpoint values), and that value
+// is in f(x) ⊆ zz.  This containment is the usual case right after a
+// forward HC4 step, so it skips all 32 probes.  Tan encloses by its
+// endpoint values without min/max, so the argument there also needs
+// math.Tan to be monotone within the one-ulp outward widening;
+// FuzzTrigInverse checks all three against plain bisection bit for bit.
+func shrinkTrig(zz, x Interval, f func(Interval) Interval) Interval {
+	fx := f(x)
+	if fx.Intersect(zz).IsEmpty() {
 		return Empty()
 	}
+	if zz.ContainsInterval(fx) {
+		return x
+	}
+	feasible := func(p Interval) bool { return !f(p).Intersect(zz).IsEmpty() }
 	const steps = 16
 	lo, hi := x.Lo, x.Hi
 	// shrink from the left

@@ -56,9 +56,7 @@ func InvTan(z, x Interval) Interval {
 	if x.Width() >= math.Pi || math.IsInf(x.Lo, 0) || math.IsInf(x.Hi, 0) {
 		return x
 	}
-	return shrinkByBisection(x, func(p Interval) bool {
-		return !p.Tan().Intersect(z).IsEmpty()
-	})
+	return shrinkTrig(z, x, Interval.Tan)
 }
 
 // InvAtan projects z = atan(x) onto x: x = tan(z ∩ (-π/2, π/2)).
