@@ -99,6 +99,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzSystem -fuzztime=5s ./internal/ts/
 	$(GO) test -run='^$$' -fuzz=FuzzSolveRetentionEquiv -fuzztime=5s ./internal/icp/
 	$(GO) test -run='^$$' -fuzz=FuzzTrigInverse -fuzztime=5s ./internal/interval/
+	$(GO) test -run='^$$' -fuzz=FuzzLinearNormalize -fuzztime=5s ./internal/tnf/
 
 check: build vet lint test test-race
 

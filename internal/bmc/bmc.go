@@ -197,7 +197,7 @@ func Check(sys *ts.System, opts Options) engine.Result {
 				return finish(engine.Result{Verdict: engine.Unsafe, Trace: trace, Depth: k})
 			}
 		case icp.StatusUnknown:
-			return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: "solver budget"})
+			return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: budget.ExpiredOr("solver budget")})
 		case icp.StatusUnsat:
 			// No robust violation; plain violations may still be genuine
 			// for discrete (integer) properties, so validate them too.

@@ -2,9 +2,12 @@ package bmc
 
 import (
 	"math"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"icpic3/internal/benchmarks"
 	"icpic3/internal/engine"
 	"icpic3/internal/ts"
 )
@@ -214,5 +217,56 @@ prop x <= 3
 	}
 	if res.Runtime <= 0 {
 		t.Error("runtime not recorded")
+	}
+}
+
+// TestThermostatDeepWork pins the search work of the safe thermostats
+// unrolled to depth 128.  Their mode equations mention T twice
+// (T' = T + 0.5·(P − T)); compiled with like terms collected
+// (tnf.LinearNormalize) the bad-state queries are refuted with almost no
+// splitting.  Compiled as written they took about 14,000 decisions.
+// Decisions are a count, so the pin holds on any machine.
+func TestThermostatDeepWork(t *testing.T) {
+	var decisions int64
+	for idx := 0; idx < 3; idx++ {
+		in := benchmarks.Must(benchmarks.Thermostat(true, idx))
+		res := Check(in.Sys, Options{MaxDepth: 128})
+		if res.Verdict != engine.Unknown || !strings.HasPrefix(res.Note, "no counterexample up to depth 128") {
+			t.Fatalf("%s: %v (%s)", in.Name, res.Verdict, res.Note)
+		}
+		decisions += res.Stats["decisions"]
+	}
+	t.Logf("decisions = %d", decisions)
+	if decisions > 400 {
+		t.Errorf("thermostat-safe-{0,1,2} to depth 128: %d decisions, budget 400", decisions)
+	}
+}
+
+// TestBudgetExpiredMidSolveSaysTimeout expires the budget from inside a
+// solve: the solver's first Stop poll closes the budget's done channel,
+// and the next poll aborts the query.  The solver returned Unknown
+// because the budget ran out, so the note must say "timeout", not blame
+// the solver.
+func TestBudgetExpiredMidSolveSaysTimeout(t *testing.T) {
+	// (x - y)^2 >= 0 written out: interval evaluation cannot see the
+	// square, so refuting the bad state at step 0 takes many splits.
+	sys := mustParse(t, `
+system dependent
+var x : real [0, 10]
+var y : real [0, 10]
+init x >= 0 and y >= 0
+trans x' = x and y' = y
+prop x * x - 2 * x * y + y * y >= -0.001
+`)
+	done := make(chan struct{})
+	var once sync.Once
+	opts := Options{MaxDepth: 1000, Budget: engine.Budget{}.WithDone(done)}
+	opts.Solver.Stop = func() bool {
+		once.Do(func() { close(done) })
+		return false
+	}
+	res := Check(sys, opts)
+	if res.Verdict != engine.Unknown || res.Note != "timeout" {
+		t.Fatalf("res = %v, note %q; want unknown, note \"timeout\"", res.Verdict, res.Note)
 	}
 }

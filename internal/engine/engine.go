@@ -173,6 +173,17 @@ func (b Budget) Expired() bool {
 	return b.Timeout > 0 && !b.start.IsZero() && time.Since(b.start) > b.Timeout
 }
 
+// ExpiredOr returns "timeout" when the budget has expired and note
+// otherwise.  Engines pass the note for a solver call that came back
+// Unknown: when the budget ran out during the call, the budget and not
+// the solver is why the run stopped.
+func (b Budget) ExpiredOr(note string) string {
+	if b.Expired() {
+		return "timeout"
+	}
+	return note
+}
+
 // Elapsed returns the time since Start.
 func (b Budget) Elapsed() time.Duration {
 	if b.start.IsZero() {

@@ -1004,7 +1004,7 @@ func (ch *checker) run(info *Info) engine.Result {
 		return engine.Result{Verdict: engine.Unknown, Note: "0-step candidate failed validation"}
 	}
 	if r0.Status == icp.StatusUnknown {
-		return engine.Result{Verdict: engine.Unknown, Note: "solver budget (0-step)"}
+		return engine.Result{Verdict: engine.Unknown, Note: ch.budget.ExpiredOr("solver budget (0-step)")}
 	}
 
 	// Frame 0 = Init: the main solver encodes F_0 by asserting Init over
@@ -1044,7 +1044,7 @@ func (ch *checker) run(info *Info) engine.Result {
 			}
 			if r.Status == icp.StatusUnknown {
 				info.Frames = k
-				return engine.Result{Verdict: engine.Unknown, Depth: k, Note: "solver budget (bad query)"}
+				return engine.Result{Verdict: engine.Unknown, Depth: k, Note: ch.budget.ExpiredOr("solver budget (bad query)")}
 			}
 			bad := ch.widenBadCube(ch.boxCube(r.Box, ch.curIDs))
 			if ch.opts.DebugTrace {
@@ -1143,7 +1143,7 @@ func (ch *checker) block(root *obligation, k int) (engine.Verdict, engine.Result
 			})
 			heap.Push(&q, ob)
 		case icp.StatusUnknown:
-			return engine.Unknown, engine.Result{Verdict: engine.Unknown, Note: "solver budget (block query)"}
+			return engine.Unknown, engine.Result{Verdict: engine.Unknown, Note: ch.budget.ExpiredOr("solver budget (block query)")}
 		case icp.StatusUnsat:
 			ch.ctgBudget = 16 // per-obligation allowance for CTG blocking
 			if ch.promoteInductive(ob.cube) {

@@ -1,6 +1,7 @@
 package ic3icp
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -355,5 +356,34 @@ prop x <= 1.5 and x >= -1.5
 	res := Check(sys, Options{})
 	if res.Verdict != engine.Safe {
 		t.Fatalf("verdict = %v (%s)", res.Verdict, res.Note)
+	}
+}
+
+// TestBudgetExpiredMidSolveSaysTimeout expires the budget from inside a
+// solve: the solver's first Stop poll closes the budget's done channel,
+// and the next poll aborts the query.  The solver returned Unknown
+// because the budget ran out, so the note must say "timeout", not blame
+// the solver.
+func TestBudgetExpiredMidSolveSaysTimeout(t *testing.T) {
+	// (x - y)^2 >= 0 written out: interval evaluation cannot see the
+	// square, so refuting the bad state at step 0 takes many splits.
+	sys := mustParse(t, `
+system dependent
+var x : real [0, 10]
+var y : real [0, 10]
+init x >= 0 and y >= 0
+trans x' = x and y' = y
+prop x * x - 2 * x * y + y * y >= -0.001
+`)
+	done := make(chan struct{})
+	var once sync.Once
+	opts := Options{Budget: engine.Budget{}.WithDone(done)}
+	opts.Solver.Stop = func() bool {
+		once.Do(func() { close(done) })
+		return false
+	}
+	res := Check(sys, opts)
+	if res.Verdict != engine.Unknown || res.Note != "timeout" {
+		t.Fatalf("res = %v, note %q; want unknown, note \"timeout\"", res.Verdict, res.Note)
 	}
 }

@@ -1,6 +1,10 @@
 package icp
 
-import "math"
+import (
+	"math"
+
+	"icpic3/internal/interval"
+)
 
 // Openness propagation through contractors.
 //
@@ -10,9 +14,9 @@ import "math"
 // refute boundary cases such as "x <= 5 and x > 5".  For the linear
 // operations (addition/subtraction, negation, multiplication) we can do
 // better: when an endpoint computation is *exact* in floating point
-// (detected with 2Sum / FMA), the resulting endpoint inherits openness
-// from its operands; when it is inexact we fall back to the outward-
-// rounded closed endpoint.  This mirrors iSAT3's exact handling of strict
+// (detected with 2Sum / FMA: interval.ExactSum, interval.ExactProduct),
+// the resulting endpoint inherits openness from its operands; when it is
+// inexact we fall back to the outward-rounded closed endpoint.  This mirrors iSAT3's exact handling of strict
 // simple bounds while staying sound.
 
 // ept is an endpoint with an openness flag.
@@ -35,33 +39,9 @@ func roundUp(x float64) float64 {
 	return math.Nextafter(x, math.Inf(1))
 }
 
-// twoSum computes a+b and reports whether the float sum is exact.
-func twoSum(a, b float64) (float64, bool) {
-	s := a + b
-	if math.IsInf(s, 0) || math.IsNaN(s) {
-		return s, false
-	}
-	bv := s - a
-	av := s - bv
-	return s, a-av == 0 && b-bv == 0
-}
-
-// mulP computes a*b with the interval convention 0 * inf = 0, and reports
-// exactness.
-func mulP(a, b float64) (float64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
-	}
-	p := a * b
-	if math.IsInf(p, 0) || math.IsNaN(p) {
-		return p, false
-	}
-	return p, math.FMA(a, b, -p) == 0
-}
-
 // sumLo returns the lower enclosure endpoint of a+b with openness.
 func sumLo(a, b ept) ept {
-	s, exact := twoSum(a.v, b.v)
+	s, exact := interval.ExactSum(a.v, b.v)
 	if !exact {
 		return ept{roundDown(s), false}
 	}
@@ -70,7 +50,7 @@ func sumLo(a, b ept) ept {
 
 // sumHi returns the upper enclosure endpoint of a+b with openness.
 func sumHi(a, b ept) ept {
-	s, exact := twoSum(a.v, b.v)
+	s, exact := interval.ExactSum(a.v, b.v)
 	if !exact {
 		return ept{roundUp(s), false}
 	}
@@ -96,7 +76,7 @@ func mulCorners(xlo, xhi, ylo, yhi ept) (lo, hi ept) {
 	corners := [4][2]ept{{xlo, ylo}, {xlo, yhi}, {xhi, ylo}, {xhi, yhi}}
 	first := true
 	for _, c := range corners {
-		p, exact := mulP(c[0].v, c[1].v)
+		p, exact := interval.ExactProduct(c[0].v, c[1].v)
 		var cl, ch ept
 		switch {
 		case !exact:

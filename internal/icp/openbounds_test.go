@@ -7,47 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestTwoSumExactness(t *testing.T) {
-	cases := []struct {
-		a, b  float64
-		exact bool
-	}{
-		{1, 2, true},
-		{0.5, 0.25, true},
-		{1e100, 1, false}, // absorbed
-		{0.1, 0.2, false}, // 0.3 is not representable
-		{-5, 5, true},
-		{0, 0, true},
-	}
-	for _, c := range cases {
-		s, ex := twoSum(c.a, c.b)
-		if ex != c.exact {
-			t.Errorf("twoSum(%v, %v) exact = %v, want %v", c.a, c.b, ex, c.exact)
-		}
-		if s != c.a+c.b {
-			t.Errorf("twoSum sum mismatch")
-		}
-	}
-	if _, ex := twoSum(math.Inf(1), 1); ex {
-		t.Error("inf sum cannot be exact")
-	}
-}
-
-func TestMulPExactness(t *testing.T) {
-	if p, ex := mulP(3, 4); p != 12 || !ex {
-		t.Error("3*4")
-	}
-	if p, ex := mulP(0, math.Inf(1)); p != 0 || !ex {
-		t.Error("0*inf must be 0 (interval convention)")
-	}
-	if _, ex := mulP(0.1, 0.3); ex {
-		t.Error("0.1*0.3 is inexact")
-	}
-	if p, ex := mulP(0.5, 0.25); p != 0.125 || !ex {
-		t.Error("powers of two multiply exactly")
-	}
-}
-
 // TestQuickSumEndpointSound: the endpoint produced by sumLo/sumHi always
 // bounds the exact real sum, and openness is claimed only for exact sums.
 func TestQuickSumEndpointSound(t *testing.T) {

@@ -196,7 +196,7 @@ func Check(sys *ts.System, opts Options) engine.Result {
 			// may surface a real counterexample — keep going.
 			stats["spurious"]++
 		case icp.StatusUnknown:
-			return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: "solver budget (base)", Stats: stats})
+			return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: budget.ExpiredOr("solver budget (base)"), Stats: stats})
 		}
 
 		// step case: (∧_{i<=k-1} Prop@i ∧ Trans@i) ∧ !Prop@k over any start.

@@ -1,6 +1,7 @@
 package kind
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -263,5 +264,34 @@ prop x <= 9
 	}
 	if res.Stats["baseSolves"] == 0 || res.Stats["stepSolves"] == 0 {
 		t.Errorf("stats = %v", res.Stats)
+	}
+}
+
+// TestBudgetExpiredMidSolveSaysTimeout expires the budget from inside a
+// solve: the solver's first Stop poll closes the budget's done channel,
+// and the next poll aborts the query.  The solver returned Unknown
+// because the budget ran out, so the note must say "timeout", not blame
+// the solver.
+func TestBudgetExpiredMidSolveSaysTimeout(t *testing.T) {
+	// (x - y)^2 >= 0 written out: interval evaluation cannot see the
+	// square, so refuting the bad state at step 0 takes many splits.
+	sys := mustParse(t, `
+system dependent
+var x : real [0, 10]
+var y : real [0, 10]
+init x >= 0 and y >= 0
+trans x' = x and y' = y
+prop x * x - 2 * x * y + y * y >= -0.001
+`)
+	done := make(chan struct{})
+	var once sync.Once
+	opts := Options{MaxK: 100, Budget: engine.Budget{}.WithDone(done)}
+	opts.Solver.Stop = func() bool {
+		once.Do(func() { close(done) })
+		return false
+	}
+	res := Check(sys, opts)
+	if res.Verdict != engine.Unknown || res.Note != "timeout" {
+		t.Fatalf("res = %v, note %q; want unknown, note \"timeout\"", res.Verdict, res.Note)
 	}
 }

@@ -521,9 +521,10 @@ func (s *System) CompileBool(e *expr.Expr) (Lit, error) {
 }
 
 // compileCmp turns an ordered comparison into a bound literal over the
-// difference variable d = lhs - rhs.
+// difference variable d = lhs - rhs, with like terms collected
+// (LinearNormalize).
 func (s *System) compileCmp(e *expr.Expr) (Lit, error) {
-	d, err := s.CompileArith(expr.Sub(e.Args[0], e.Args[1]))
+	d, err := s.CompileArith(LinearNormalize(expr.Sub(e.Args[0], e.Args[1])))
 	if err != nil {
 		return Lit{}, err
 	}
@@ -548,15 +549,16 @@ func (s *System) compileCmp(e *expr.Expr) (Lit, error) {
 }
 
 // compileEq handles = and != between numeric operands via the difference
-// variable d = lhs - rhs.  Boolean operands have already been type-checked
-// by callers; b1 = b2 over Booleans compiles numerically, which is exact
-// because Booleans are integer variables.
+// variable d = lhs - rhs, normalized as in compileCmp.  Boolean operands
+// have already been type-checked by callers; b1 = b2 over Booleans
+// compiles numerically, which is exact because Booleans are integer
+// variables.
 //
 // For real operands the "d != 0" direction relaxes to true (a disequality
 // over reals cannot be enforced by closed interval bounds); this only
 // grows the solution set, so UNSAT remains sound.
 func (s *System) compileEq(e *expr.Expr) (Lit, error) {
-	d, err := s.CompileArith(expr.Sub(e.Args[0], e.Args[1]))
+	d, err := s.CompileArith(LinearNormalize(expr.Sub(e.Args[0], e.Args[1])))
 	if err != nil {
 		return Lit{}, err
 	}
